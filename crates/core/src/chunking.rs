@@ -165,15 +165,118 @@ pub fn chunks_with_weights(len: u64, g: usize, weights: &[u32]) -> Vec<Chunk> {
     out
 }
 
+/// Chunk `c` of the uniform cut ([`chunks`]) in closed form: the
+/// `rem = len mod 2G` remainder tokens go one each to the lowest-index
+/// chunks, so chunk `c` starts after `c` base-size chunks and `min(c, rem)`
+/// remainder tokens.
+fn uniform_chunk(len: u64, g: usize, c: usize) -> Chunk {
+    let n = 2 * g as u64;
+    let (base, rem) = (len / n, len % n);
+    let c = c as u64;
+    Chunk {
+        offset: c * base + c.min(rem),
+        len: base + u64::from(c < rem),
+    }
+}
+
+/// One sequence's zigzag geometry on a ring of `g` positions, cut once.
+///
+/// The uniform cut (empty or all-equal weights) keeps no table: each
+/// position's two chunks come from `uniform_chunk` in closed form. A
+/// non-uniform weighted cut keeps its [`chunks_with_weights`] table, so a
+/// group that prices many rounds cuts it once per sequence. Every
+/// per-position and per-round cost query of this module is answered here,
+/// weighted or not.
+#[derive(Debug, Clone)]
+pub struct ZigzagCut {
+    len: u64,
+    g: usize,
+    /// The weighted chunk table, or `None` for the uniform cut.
+    table: Option<Vec<Chunk>>,
+}
+
+impl ZigzagCut {
+    /// Cuts a sequence of `len` tokens for a ring of `g` positions under
+    /// per-position `weights` (empty = uniform).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g == 0` or the weights are malformed (see
+    /// [`chunks_with_weights`]).
+    pub fn new(len: u64, g: usize, weights: &[u32]) -> ZigzagCut {
+        assert!(g > 0, "ring group must be non-empty");
+        let uniform = weights.iter().all(|&w| w == weights[0]);
+        let table = (!uniform).then(|| chunks_with_weights(len, g, weights));
+        ZigzagCut { len, g, table }
+    }
+
+    /// Sequence length in tokens.
+    pub fn seq_len(&self) -> u64 {
+        self.len
+    }
+
+    /// The two chunks owned by ring position `i` (zigzag pairing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= g`.
+    pub fn position_chunks(&self, i: usize) -> [Chunk; 2] {
+        let g = self.g;
+        assert!(i < g, "position {i} out of ring of size {g}");
+        let j = 2 * g - 1 - i;
+        match &self.table {
+            Some(t) => [t[i], t[j]],
+            None => [uniform_chunk(self.len, g, i), uniform_chunk(self.len, g, j)],
+        }
+    }
+
+    /// Tokens owned by position `i` (its two chunks' total).
+    pub fn position_tokens(&self, i: usize) -> u64 {
+        self.position_chunks(i).iter().map(|c| c.len).sum()
+    }
+
+    /// Attention FLOPs of query position `q_pos` against the KV chunks
+    /// owned by position `kv_pos`.
+    pub fn pair_flops(&self, cfg: &ModelConfig, q_pos: usize, kv_pos: usize) -> f64 {
+        let q = self.position_chunks(q_pos);
+        let kv = self.position_chunks(kv_pos);
+        let mut flops = 0.0;
+        for qc in q {
+            for kc in kv {
+                flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
+            }
+        }
+        flops
+    }
+
+    /// Attention FLOPs computed by `position` in `round`.
+    pub fn round_flops(&self, cfg: &ModelConfig, position: usize, round: usize) -> f64 {
+        self.pair_flops(cfg, position, kv_source(self.g, position, round))
+    }
+
+    /// Tokens of KV that `position` holds (and sends onward) at `round`.
+    pub fn round_kv_tokens(&self, position: usize, round: usize) -> u64 {
+        self.position_tokens(kv_source(self.g, position, round))
+    }
+
+    /// Bytes of KV that `position` sends to its neighbour after `round`.
+    pub fn round_kv_bytes(&self, cfg: &ModelConfig, position: usize, round: usize) -> f64 {
+        kv_bytes(cfg, self.round_kv_tokens(position, round))
+    }
+
+    /// Total attention FLOPs of position `i` across all `g` rounds.
+    pub fn position_total_flops(&self, cfg: &ModelConfig, i: usize) -> f64 {
+        (0..self.g).map(|r| self.round_flops(cfg, i, r)).sum()
+    }
+}
+
 /// The two chunks owned by ring position `i` (zigzag pairing).
 ///
 /// # Panics
 ///
 /// Panics if `i >= g`.
 pub fn position_chunks(len: u64, g: usize, i: usize) -> [Chunk; 2] {
-    assert!(i < g, "position {i} out of ring of size {g}");
-    let all = chunks(len, g);
-    [all[i], all[2 * g - 1 - i]]
+    position_chunks_weighted(len, g, &[], i)
 }
 
 /// [`position_chunks`] under per-position weights (empty = uniform).
@@ -183,9 +286,7 @@ pub fn position_chunks(len: u64, g: usize, i: usize) -> [Chunk; 2] {
 /// Panics if `i >= g` or the weights are malformed (see
 /// [`chunks_with_weights`]).
 pub fn position_chunks_weighted(len: u64, g: usize, weights: &[u32], i: usize) -> [Chunk; 2] {
-    assert!(i < g, "position {i} out of ring of size {g}");
-    let all = chunks_with_weights(len, g, weights);
-    [all[i], all[2 * g - 1 - i]]
+    ZigzagCut::new(len, g, weights).position_chunks(i)
 }
 
 /// Ring source position whose KV reaches `position` in `round`.
@@ -203,15 +304,7 @@ pub fn position_pair_flops(
     q_pos: usize,
     kv_pos: usize,
 ) -> f64 {
-    let q = position_chunks(len, g, q_pos);
-    let kv = position_chunks(len, g, kv_pos);
-    let mut flops = 0.0;
-    for qc in q {
-        for kc in kv {
-            flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
-        }
-    }
-    flops
+    position_pair_flops_weighted(cfg, len, g, &[], q_pos, kv_pos)
 }
 
 /// Attention FLOPs computed by `position` in `round` of a ring of size `g`
@@ -223,21 +316,17 @@ pub fn ring_round_flops(
     position: usize,
     round: usize,
 ) -> f64 {
-    position_pair_flops(cfg, len, g, position, kv_source(g, position, round))
+    ring_round_flops_weighted(cfg, len, g, &[], position, round)
 }
 
 /// Tokens owned by a zigzag position (`position_chunks` total).
 pub fn position_tokens(len: u64, g: usize, position: usize) -> u64 {
-    position_chunks(len, g, position)
-        .iter()
-        .map(|c| c.len)
-        .sum()
+    position_tokens_weighted(len, g, &[], position)
 }
 
 /// Tokens of KV that `position` holds (and sends onward) at `round`.
 pub fn ring_round_kv_tokens(len: u64, g: usize, position: usize, round: usize) -> u64 {
-    let src = kv_source(g, position, round);
-    position_chunks(len, g, src).iter().map(|c| c.len).sum()
+    ring_round_kv_tokens_weighted(len, g, &[], position, round)
 }
 
 /// Bytes of KV that `position` sends to its neighbour after `round`.
@@ -248,12 +337,12 @@ pub fn ring_round_kv_bytes(
     position: usize,
     round: usize,
 ) -> f64 {
-    kv_bytes(cfg, ring_round_kv_tokens(len, g, position, round))
+    ring_round_kv_bytes_weighted(cfg, len, g, &[], position, round)
 }
 
 /// Total attention FLOPs of ring position `i` across all `g` rounds.
 pub fn position_total_flops(cfg: &ModelConfig, len: u64, g: usize, i: usize) -> f64 {
-    (0..g).map(|r| ring_round_flops(cfg, len, g, i, r)).sum()
+    position_total_flops_weighted(cfg, len, g, &[], i)
 }
 
 /// [`position_pair_flops`] under per-position weights (empty = uniform).
@@ -265,15 +354,7 @@ pub fn position_pair_flops_weighted(
     q_pos: usize,
     kv_pos: usize,
 ) -> f64 {
-    let q = position_chunks_weighted(len, g, weights, q_pos);
-    let kv = position_chunks_weighted(len, g, weights, kv_pos);
-    let mut flops = 0.0;
-    for qc in q {
-        for kc in kv {
-            flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
-        }
-    }
-    flops
+    ZigzagCut::new(len, g, weights).pair_flops(cfg, q_pos, kv_pos)
 }
 
 /// [`ring_round_flops`] under per-position weights (empty = uniform).
@@ -285,22 +366,12 @@ pub fn ring_round_flops_weighted(
     position: usize,
     round: usize,
 ) -> f64 {
-    position_pair_flops_weighted(
-        cfg,
-        len,
-        g,
-        weights,
-        position,
-        kv_source(g, position, round),
-    )
+    ZigzagCut::new(len, g, weights).round_flops(cfg, position, round)
 }
 
 /// [`position_tokens`] under per-position weights (empty = uniform).
 pub fn position_tokens_weighted(len: u64, g: usize, weights: &[u32], position: usize) -> u64 {
-    position_chunks_weighted(len, g, weights, position)
-        .iter()
-        .map(|c| c.len)
-        .sum()
+    ZigzagCut::new(len, g, weights).position_tokens(position)
 }
 
 /// [`ring_round_kv_tokens`] under per-position weights (empty = uniform).
@@ -311,8 +382,7 @@ pub fn ring_round_kv_tokens_weighted(
     position: usize,
     round: usize,
 ) -> u64 {
-    let src = kv_source(g, position, round);
-    position_tokens_weighted(len, g, weights, src)
+    ZigzagCut::new(len, g, weights).round_kv_tokens(position, round)
 }
 
 /// [`ring_round_kv_bytes`] under per-position weights (empty = uniform).
@@ -324,10 +394,7 @@ pub fn ring_round_kv_bytes_weighted(
     position: usize,
     round: usize,
 ) -> f64 {
-    kv_bytes(
-        cfg,
-        ring_round_kv_tokens_weighted(len, g, weights, position, round),
-    )
+    ZigzagCut::new(len, g, weights).round_kv_bytes(cfg, position, round)
 }
 
 /// [`position_total_flops`] under per-position weights (empty = uniform).
@@ -338,9 +405,7 @@ pub fn position_total_flops_weighted(
     weights: &[u32],
     i: usize,
 ) -> f64 {
-    (0..g)
-        .map(|r| ring_round_flops_weighted(cfg, len, g, weights, i, r))
-        .sum()
+    ZigzagCut::new(len, g, weights).position_total_flops(cfg, i)
 }
 
 /// Attention FLOPs of a *contiguously* split position (non-zigzag): ring

@@ -81,17 +81,7 @@ impl SeqPlacement {
     /// Tokens resident on ring position `i` (zigzag: two chunks, sized by
     /// the declared speed weights when present).
     pub fn tokens_on_position(&self, i: usize) -> u64 {
-        let g = self.ranks.len();
-        debug_assert!(i < g);
-        if !self.weights.is_empty() {
-            return crate::chunking::position_tokens_weighted(self.len, g, &self.weights, i);
-        }
-        let g = g as u64;
-        let chunks = 2 * g;
-        let base = self.len / chunks;
-        let rem = self.len % chunks;
-        let chunk_len = |c: u64| base + u64::from(c < rem);
-        chunk_len(i as u64) + chunk_len(2 * g - 1 - i as u64)
+        crate::chunking::position_tokens_weighted(self.len, self.ranks.len(), &self.weights, i)
     }
 }
 

@@ -24,10 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use zeppelin_core::chunking::{
-    position_pair_flops_weighted, position_tokens_weighted, position_total_flops_weighted,
-    ring_round_flops_weighted, ring_round_kv_bytes_weighted,
-};
+use zeppelin_core::chunking::ZigzagCut;
 use zeppelin_core::plan::{AttnMode, IterationPlan, SeqPlacement, Zone};
 use zeppelin_core::remap::{needs_remap, needs_remap_weighted, plan_remap, plan_remap_weighted};
 use zeppelin_core::routing::route_internode;
@@ -41,7 +38,7 @@ use zeppelin_model::memory::hidden_bytes;
 use zeppelin_sim::engine::{Simulator, Stream, TaskId, TraceInfo};
 use zeppelin_sim::error::SimError;
 use zeppelin_sim::time::SimDuration;
-use zeppelin_sim::topology::Rank;
+use zeppelin_sim::topology::{ClusterSpec, Rank};
 use zeppelin_sim::trace::TraceCategory;
 
 /// Pass direction; backward scales FLOPs and communication volume.
@@ -342,22 +339,27 @@ pub fn lower_layer(
                 .iter()
                 .filter(|((_, _, _), v)| select(v.first().expect("non-empty group").zone))
             {
-                let lens: Vec<u64> = seqs.iter().map(|p| p.len).collect();
+                // Each sequence's chunk geometry is cut once per group and
+                // shared by every round the group prices.
+                let cuts: Vec<ZigzagCut> = seqs
+                    .iter()
+                    .map(|p| ZigzagCut::new(p.len, ranks.len(), weights))
+                    .collect();
                 let (computes, sends) = match *mode_key {
                     0 => lower_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &lens, weights, &seg_dep, &comm_dep,
+                        sim, &cluster, model, cfg, dir, plan, ranks, &cuts, &seg_dep, &comm_dep,
                         &mut out, &peaks,
                     )?,
                     1 => lower_allgather_group(
-                        sim, model, cfg, dir, ranks, &lens, weights, &seg_dep, &comm_dep, &mut out,
-                        &peaks,
+                        sim, &cluster, model, cfg, dir, ranks, &cuts, &seg_dep, &comm_dep,
+                        &mut out, &peaks,
                     )?,
                     2 => lower_ulysses_group(
-                        sim, model, cfg, dir, ranks, &lens, weights, &seg_dep, &comm_dep, &mut out,
-                        &peaks,
+                        sim, &cluster, model, cfg, dir, ranks, &cuts, &seg_dep, &comm_dep,
+                        &mut out, &peaks,
                     )?,
                     _ => lower_double_ring_group(
-                        sim, model, cfg, dir, plan, ranks, &lens, weights, &seg_dep, &comm_dep,
+                        sim, &cluster, model, cfg, dir, plan, ranks, &cuts, &seg_dep, &comm_dep,
                         &mut out, &peaks,
                     )?,
                 };
@@ -617,19 +619,18 @@ pub fn lower_layer(
 #[allow(clippy::too_many_arguments)]
 fn lower_ring_group(
     sim: &mut Simulator,
+    cluster: &ClusterSpec,
     model: &ModelConfig,
     cfg: &ExecConfig,
     dir: Direction,
     plan: &IterationPlan,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    cuts: &[ZigzagCut],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
     peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
     let g = ranks.len();
     let mut computes: Vec<(Rank, TaskId)> = Vec::new();
     let mut sends: Vec<(Rank, TaskId)> = Vec::new();
@@ -641,9 +642,9 @@ fn lower_ring_group(
         // Compute round r on every position.
         let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
-            let flops: f64 = lens
+            let flops: f64 = cuts
                 .iter()
-                .map(|&len| ring_round_flops_weighted(model, len, g, weights, p, r))
+                .map(|cut| cut.round_flops(model, p, r))
                 .sum::<f64>()
                 * dir.flops_scale();
             let dur =
@@ -677,9 +678,9 @@ fn lower_ring_group(
             for (p, &src) in ranks.iter().enumerate() {
                 let next = (p + 1) % g;
                 let dst = ranks[next];
-                let bytes: f64 = lens
+                let bytes: f64 = cuts
                     .iter()
-                    .map(|&len| ring_round_kv_bytes_weighted(model, len, g, weights, p, r))
+                    .map(|cut| cut.round_kv_bytes(model, p, r))
                     .sum::<f64>()
                     * dir.comm_scale();
                 // Send-recv semantics: both endpoints must post their
@@ -711,7 +712,7 @@ fn lower_ring_group(
                 )?;
                 let launch = sim.marker(vec![send_launch, recv_launch])?;
                 let completion = if !cluster.same_node(src, dst) && plan.options.routing {
-                    lower_routed_transfer(sim, &cluster, cfg, src, dst, bytes, launch, out)?
+                    lower_routed_transfer(sim, cluster, cfg, src, dst, bytes, launch, out)?
                 } else {
                     let flow = sim.transfer(
                         bytes,
@@ -742,7 +743,7 @@ fn lower_ring_group(
 #[allow(clippy::too_many_arguments)]
 fn lower_routed_transfer(
     sim: &mut Simulator,
-    cluster: &zeppelin_sim::topology::ClusterSpec,
+    cluster: &ClusterSpec,
     cfg: &ExecConfig,
     src: Rank,
     dst: Rank,
@@ -827,18 +828,17 @@ fn lower_routed_transfer(
 #[allow(clippy::too_many_arguments)]
 fn lower_allgather_group(
     sim: &mut Simulator,
+    cluster: &ClusterSpec,
     model: &ModelConfig,
     cfg: &ExecConfig,
     dir: Direction,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    cuts: &[ZigzagCut],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
     peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
     let g = ranks.len();
     // Ring all-gather: g-1 rounds; each position forwards the chunk that
     // arrived last round. Track per-position inbound transfers.
@@ -850,9 +850,9 @@ fn lower_allgather_group(
         for (p, &src) in ranks.iter().enumerate() {
             let next = (p + 1) % g;
             let dst = ranks[next];
-            let bytes: f64 = lens
+            let bytes: f64 = cuts
                 .iter()
-                .map(|&len| ring_round_kv_bytes_weighted(model, len, g, weights, p, r))
+                .map(|cut| cut.round_kv_bytes(model, p, r))
                 .sum::<f64>()
                 * dir.comm_scale();
             let mut send_deps: Vec<TaskId> = Vec::new();
@@ -883,7 +883,7 @@ fn lower_allgather_group(
             // over every NIC of the node (this is library behaviour, not
             // Zeppelin's routing layer — hence unconditional here).
             let flow = if !cluster.same_node(src, dst) {
-                lower_routed_transfer(sim, &cluster, cfg, src, dst, bytes, launch, out)?
+                lower_routed_transfer(sim, cluster, cfg, src, dst, bytes, launch, out)?
             } else {
                 let f = sim.transfer(
                     bytes,
@@ -909,9 +909,9 @@ fn lower_allgather_group(
     // One local attention kernel per rank over the fully gathered KV.
     let mut computes = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 = lens
+        let flops: f64 = cuts
             .iter()
-            .map(|&len| position_total_flops_weighted(model, len, g, weights, p))
+            .map(|cut| cut.position_total_flops(model, p))
             .sum::<f64>()
             * dir.flops_scale();
         let dur = SimDuration::from_secs_f64(cfg.attention_kernel.kernel_time(flops, peaks[rank]));
@@ -940,26 +940,21 @@ fn lower_allgather_group(
 #[allow(clippy::too_many_arguments)]
 fn lower_ulysses_group(
     sim: &mut Simulator,
+    cluster: &ClusterSpec,
     model: &ModelConfig,
     cfg: &ExecConfig,
     dir: Direction,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    cuts: &[ZigzagCut],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
     peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
     let g = ranks.len();
     let h_bytes = model.hidden as f64 * model.dtype_bytes as f64;
     let shard_tokens: Vec<u64> = (0..g)
-        .map(|p| {
-            lens.iter()
-                .map(|&len| position_tokens_weighted(len, g, weights, p))
-                .sum()
-        })
+        .map(|p| cuts.iter().map(|cut| cut.position_tokens(p)).sum())
         .collect();
     let mut sends: Vec<(Rank, TaskId)> = Vec::new();
 
@@ -1022,9 +1017,9 @@ fn lower_ulysses_group(
     // for heads/G heads — perfectly balanced by construction.
     let mut compute_ids: Vec<TaskId> = Vec::with_capacity(g);
     for (p, &rank) in ranks.iter().enumerate() {
-        let flops: f64 = lens
+        let flops: f64 = cuts
             .iter()
-            .map(|&len| zeppelin_model::flops::attention_seq_flops(model, len))
+            .map(|cut| zeppelin_model::flops::attention_seq_flops(model, cut.seq_len()))
             .sum::<f64>()
             / g as f64
             * dir.flops_scale();
@@ -1085,19 +1080,18 @@ fn lower_ulysses_group(
 #[allow(clippy::too_many_arguments)]
 fn lower_double_ring_group(
     sim: &mut Simulator,
+    cluster: &ClusterSpec,
     model: &ModelConfig,
     cfg: &ExecConfig,
     dir: Direction,
     plan: &IterationPlan,
     ranks: &[Rank],
-    lens: &[u64],
-    weights: &[u32],
+    cuts: &[ZigzagCut],
     seg_dep: &[Option<TaskId>],
     comm_dep: &[Option<TaskId>],
     out: &mut LayerOutcome,
     peaks: &[f64],
 ) -> Result<GroupTasks, SimError> {
-    let cluster = sim.cluster().clone();
     let g = ranks.len();
     // Node-major decomposition check.
     let mut node_order: Vec<usize> = Vec::new();
@@ -1117,7 +1111,7 @@ fn lower_double_ring_group(
     };
     if !uniform {
         return lower_ring_group(
-            sim, model, cfg, dir, plan, ranks, lens, weights, seg_dep, comm_dep, out, peaks,
+            sim, cluster, model, cfg, dir, plan, ranks, cuts, seg_dep, comm_dep, out, peaks,
         );
     }
     let m = g / n;
@@ -1136,9 +1130,9 @@ fn lower_double_ring_group(
         let mut this_compute: Vec<TaskId> = Vec::with_capacity(g);
         for (p, &rank) in ranks.iter().enumerate() {
             let src = source(p, t);
-            let flops: f64 = lens
+            let flops: f64 = cuts
                 .iter()
-                .map(|&len| position_pair_flops_weighted(model, len, g, weights, p, src))
+                .map(|cut| cut.pair_flops(model, p, src))
                 .sum::<f64>()
                 * dir.flops_scale();
             let dur =
@@ -1176,10 +1170,10 @@ fn lower_double_ring_group(
                     ((a + 1) % n) * m + (b + 1) % m
                 };
                 let dst = ranks[dst_pos];
-                let bytes: f64 = lens
+                let bytes: f64 = cuts
                     .iter()
-                    .map(|&len| {
-                        2.0 * position_tokens_weighted(len, g, weights, source(p, t)) as f64
+                    .map(|cut| {
+                        2.0 * cut.position_tokens(source(p, t)) as f64
                             * model.hidden as f64
                             * model.dtype_bytes as f64
                     })
@@ -1211,7 +1205,7 @@ fn lower_double_ring_group(
                 )?;
                 let launch = sim.marker(vec![send_launch, recv_launch])?;
                 let completion = if !cluster.same_node(src_rank, dst) && plan.options.routing {
-                    lower_routed_transfer(sim, &cluster, cfg, src_rank, dst, bytes, launch, out)?
+                    lower_routed_transfer(sim, cluster, cfg, src_rank, dst, bytes, launch, out)?
                 } else {
                     let flow = sim.transfer(
                         bytes,
@@ -1266,7 +1260,7 @@ mod tests {
         }
     }
 
-    fn run(plan: &IterationPlan, cluster: &zeppelin_sim::topology::ClusterSpec) -> (f64, usize) {
+    fn run(plan: &IterationPlan, cluster: &ClusterSpec) -> (f64, usize) {
         let model = llama_3b();
         let cfg = ExecConfig::default();
         let mut sim = Simulator::new(cluster);

@@ -669,25 +669,31 @@ impl FlowNetwork {
     }
 
     /// Writes one component's fill results into the live tables and
-    /// re-projects its completion instants.
+    /// re-projects the completion instants of flows whose rate changed.
+    ///
+    /// A flow refilled to a rate bitwise equal to its old positive rate
+    /// keeps its generation and heap entry: that entry was projected from
+    /// the same rate and the same drain, so it is exact if it is still
+    /// fresh, and slack-checked by [`FlowNetwork::next_completion`] if it
+    /// is stale, exactly like the entries of untouched components.
     fn apply_fill(&mut self, c: usize, out: &FillOutput) {
         let comp = self.partitioner.component(c);
-        for (i, &k) in comp.flows.iter().enumerate() {
-            self.flows[k].rate = out.rates[i];
-        }
         // Refresh the maintained per-port rate sums for the component.
         for (j, &p) in comp.ports.iter().enumerate() {
             self.port_rate_sum[p] = out.port_sums[j];
         }
-        // Re-project completion instants for the component's flows.
-        for &k in comp.flows {
+        for (&k, &rate) in comp.flows.iter().zip(&out.rates) {
+            let f = &mut self.flows[k];
+            if rate > 0.0 && rate.to_bits() == f.rate.to_bits() {
+                continue;
+            }
+            f.rate = rate;
             self.slot_gen[k] += 1;
-            let f = &self.flows[k];
             if f.remaining <= EPS_BYTES {
                 continue; // Listed in drained_ready; completes "now".
             }
-            if f.rate > 0.0 {
-                let t = self.clock + SimDuration::from_secs_f64(f.remaining / f.rate);
+            if rate > 0.0 {
+                let t = self.clock + SimDuration::from_secs_f64(f.remaining / rate);
                 self.heap_fresh
                     .push(Reverse((t.as_nanos(), k, self.slot_gen[k])));
             }
@@ -998,6 +1004,86 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         FlowNetwork::new().set_port_capacity(Port::NicTx(0), 0.0);
+    }
+
+    /// When one flow of an all-to-all finishes, most refilled rates come
+    /// out bitwise unchanged. Those flows keep their heap entries (the
+    /// heaps grow only by the re-rated flows), and rates, port sums and
+    /// completion instants still match the reference bit for bit, through
+    /// to the last completion.
+    #[test]
+    fn unchanged_rates_keep_their_heap_entries() {
+        let c = cluster_a(2);
+        let ranks = [0usize, 1, 2, 3, 8, 9, 10, 11];
+        let mut net = FlowNetwork::new();
+        let mut oracle = ReferenceNet::new();
+        let mut live = Vec::new();
+        let mut ports = Vec::new();
+        for (i, &src) in ranks.iter().enumerate() {
+            for (j, &dst) in ranks.iter().enumerate() {
+                if src == dst {
+                    continue;
+                }
+                // One short flow finishes first; the rest differ in size.
+                let bytes = if (i, j) == (0, 4) {
+                    1e6
+                } else {
+                    1e9 + 1e7 * (i * ranks.len() + j) as f64
+                };
+                let path = c.direct_path(src, dst);
+                ports.extend(path.iter().copied());
+                let k = net.start_flow(bytes, &path, cap_fn(&c));
+                let r = oracle.start_flow(bytes, &path, cap_fn(&c));
+                live.push((k, r));
+            }
+        }
+        ports.sort();
+        ports.dedup();
+        let heap_len = |n: &FlowNetwork| n.heap_fresh.len() + n.heap_stale.len();
+        let mut first = true;
+        while let Some(t) = net.next_completion() {
+            assert_eq!(Some(t), oracle.next_completion());
+            net.advance_to(t);
+            oracle.advance_to(t);
+            let rates_before: Vec<(FlowKey, f64)> =
+                live.iter().map(|&(k, _)| (k, net.rate_of(k))).collect();
+            let heap_before = heap_len(&net);
+            let mut done = Vec::new();
+            net.collect_drained(&mut done);
+            for &k in &done {
+                let pos = live.iter().position(|&(a, _)| a == k).unwrap();
+                let (_, r) = live.swap_remove(pos);
+                net.finish_flow(k);
+                oracle.finish_flow(r);
+            }
+            let changed = rates_before
+                .iter()
+                .filter(|(k, rate)| {
+                    !done.contains(k) && net.rate_of(*k).to_bits() != rate.to_bits()
+                })
+                .count();
+            if first {
+                // The short flow's finish re-rates its neighbours only.
+                assert_eq!(done.len(), 1);
+                assert!(
+                    changed > 0 && 2 * changed < live.len(),
+                    "{changed} of {}",
+                    live.len()
+                );
+                assert_eq!(heap_len(&net), heap_before + changed);
+                first = false;
+            }
+            for &(k, r) in &live {
+                assert_eq!(net.rate_of(k).to_bits(), oracle.rate_of(r).to_bits());
+            }
+            // `==` is bitwise here except that an idle port may read +0.0 on
+            // one side and -0.0 (an empty f64 sum) on the other.
+            for &p in &ports {
+                assert_eq!(net.port_usage(p), oracle.port_usage(p));
+            }
+        }
+        assert_eq!(oracle.next_completion(), None);
+        assert!(live.is_empty());
     }
 
     /// Random interleaved churn stays bit-identical to the from-scratch

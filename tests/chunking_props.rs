@@ -4,11 +4,106 @@
 use proptest::prelude::*;
 
 use zeppelin::core::chunking::{
-    chunks, kv_source, position_pair_flops, position_tokens, position_total_flops,
-    ring_round_flops, ring_round_kv_tokens,
+    chunks, chunks_with_weights, kv_source, position_chunks, position_chunks_weighted,
+    position_pair_flops, position_pair_flops_weighted, position_tokens, position_tokens_weighted,
+    position_total_flops, position_total_flops_weighted, ring_round_flops,
+    ring_round_flops_weighted, ring_round_kv_bytes, ring_round_kv_bytes_weighted,
+    ring_round_kv_tokens, ring_round_kv_tokens_weighted, Chunk, ZigzagCut,
 };
-use zeppelin::model::config::llama_3b;
-use zeppelin::model::flops::attention_seq_flops;
+use zeppelin::model::config::{llama_3b, ModelConfig};
+use zeppelin::model::flops::{attention_block_flops, attention_seq_flops};
+use zeppelin::model::memory::kv_bytes;
+
+/// Lengths biased toward `len < 2G` (zero-length chunks) half the time.
+fn arb_len() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..48, 0u64..100_000]
+}
+
+/// A ring size with per-position weights, usually non-uniform.
+fn arb_weighted_ring() -> impl Strategy<Value = (usize, Vec<u32>)> {
+    (1usize..17).prop_flat_map(|g| (Just(g), prop::collection::vec(1u32..=2048, g)))
+}
+
+/// Checks every per-position and per-round query, through [`ZigzagCut`]
+/// and through the free functions, against the cost formulas evaluated
+/// directly on an allocated chunk `table`, bit for bit.
+fn check_queries_against_table(
+    cfg: &ModelConfig,
+    len: u64,
+    g: usize,
+    weights: &[u32],
+    table: &[Chunk],
+) -> Result<(), TestCaseError> {
+    let cut = ZigzagCut::new(len, g, weights);
+    let owned = |p: usize| [table[p], table[2 * g - 1 - p]];
+    let tokens = |p: usize| owned(p).iter().map(|c| c.len).sum::<u64>();
+    let pair = |q: usize, kv: usize| {
+        let mut flops = 0.0;
+        for qc in owned(q) {
+            for kc in owned(kv) {
+                flops += attention_block_flops(cfg, qc.offset, qc.len, kc.offset, kc.len);
+            }
+        }
+        flops
+    };
+    let round = |p: usize, r: usize| pair(p, kv_source(g, p, r));
+    let uniform = weights.iter().all(|&w| w == weights[0]);
+    prop_assert_eq!(cut.seq_len(), len);
+    for p in 0..g {
+        prop_assert_eq!(cut.position_chunks(p), owned(p));
+        prop_assert_eq!(position_chunks_weighted(len, g, weights, p), owned(p));
+        prop_assert_eq!(cut.position_tokens(p), tokens(p));
+        prop_assert_eq!(position_tokens_weighted(len, g, weights, p), tokens(p));
+        let total: f64 = (0..g).map(|r| round(p, r)).sum();
+        prop_assert_eq!(cut.position_total_flops(cfg, p).to_bits(), total.to_bits());
+        prop_assert_eq!(
+            position_total_flops_weighted(cfg, len, g, weights, p).to_bits(),
+            total.to_bits()
+        );
+        if uniform {
+            prop_assert_eq!(position_chunks(len, g, p), owned(p));
+            prop_assert_eq!(position_tokens(len, g, p), tokens(p));
+            prop_assert_eq!(
+                position_total_flops(cfg, len, g, p).to_bits(),
+                total.to_bits()
+            );
+        }
+        for q in 0..g {
+            let want = pair(p, q).to_bits();
+            prop_assert_eq!(cut.pair_flops(cfg, p, q).to_bits(), want);
+            prop_assert_eq!(
+                position_pair_flops_weighted(cfg, len, g, weights, p, q).to_bits(),
+                want
+            );
+            if uniform {
+                prop_assert_eq!(position_pair_flops(cfg, len, g, p, q).to_bits(), want);
+            }
+        }
+        for r in 0..g {
+            let flops = round(p, r).to_bits();
+            let kv = tokens(kv_source(g, p, r));
+            let bytes = kv_bytes(cfg, kv).to_bits();
+            prop_assert_eq!(cut.round_flops(cfg, p, r).to_bits(), flops);
+            prop_assert_eq!(cut.round_kv_tokens(p, r), kv);
+            prop_assert_eq!(cut.round_kv_bytes(cfg, p, r).to_bits(), bytes);
+            prop_assert_eq!(
+                ring_round_flops_weighted(cfg, len, g, weights, p, r).to_bits(),
+                flops
+            );
+            prop_assert_eq!(ring_round_kv_tokens_weighted(len, g, weights, p, r), kv);
+            prop_assert_eq!(
+                ring_round_kv_bytes_weighted(cfg, len, g, weights, p, r).to_bits(),
+                bytes
+            );
+            if uniform {
+                prop_assert_eq!(ring_round_flops(cfg, len, g, p, r).to_bits(), flops);
+                prop_assert_eq!(ring_round_kv_tokens(len, g, p, r), kv);
+                prop_assert_eq!(ring_round_kv_bytes(cfg, len, g, p, r).to_bits(), bytes);
+            }
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -91,5 +186,27 @@ proptest! {
         prop_assume!(r < g);
         let total: u64 = (0..g).map(|p| ring_round_kv_tokens(len, g, p, r)).sum();
         prop_assert_eq!(total, len);
+    }
+
+    /// The closed-form uniform cut answers every query exactly as the
+    /// allocated [`chunks`] table does, including `len < 2G`.
+    #[test]
+    fn closed_form_queries_match_the_chunks_table(len in arb_len(), g in 1usize..17) {
+        let cfg = llama_3b();
+        let table = chunks(len, g);
+        check_queries_against_table(&cfg, len, g, &[], &table)?;
+        check_queries_against_table(&cfg, len, g, &vec![777; g], &table)?;
+    }
+
+    /// A weighted cut keeps the [`chunks_with_weights`] table and answers
+    /// every query exactly as that table does.
+    #[test]
+    fn weighted_cut_queries_match_the_weighted_table(
+        len in arb_len(),
+        (g, weights) in arb_weighted_ring(),
+    ) {
+        let cfg = llama_3b();
+        let table = chunks_with_weights(len, g, &weights);
+        check_queries_against_table(&cfg, len, g, &weights, &table)?;
     }
 }
